@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race chaos resume fuzz bench fmt lint bench-json bench-analyze bench-measure bench-merge bench-span benchgate fleet trace
+.PHONY: build test check race chaos resume fuzz bench fmt lint perfbench-check bench-json bench-analyze bench-measure bench-merge bench-span benchgate fleet trace
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ lint:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# perfbench-check vets and tests the pipeline benchmark. perfbench/ is a
+# separate module that reaches the library only through its adapter, so
+# neither build nor check compiles it; this target is what turns an API
+# change that breaks the benchmark red.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # bench-json runs the paper-scale benchmark suite with machine-readable
 # (test2json) output for the CI artifact trail (BENCH_*.json trajectory).

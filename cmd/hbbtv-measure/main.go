@@ -42,13 +42,15 @@
 // journaled cells, measures only the remainder, and produces a dataset
 // byte-identical (by digest) to an uninterrupted run. The journal is
 // self-describing; resuming with a different seed, scale, fault plan,
-// retry policy, run set, topology, or channel order is rejected with an
-// error naming the differing field. Checkpointing needs a cell boundary,
-// so it requires the sharded engine (-j >= 1) or a fleet shard
-// (-shard i/N). On SIGINT or SIGTERM the campaign stops gracefully at
-// the next channel boundary, syncs the journal and the telemetry sinks,
-// and exits with status 3 (distinct from error status 1) so wrappers
-// know the journal is resumable; a second signal exits immediately.
+// retry policy, run set, engine, topology, or channel order is rejected
+// with an error naming the differing field. Every engine checkpoints: the
+// serial procedure (-j 0), the sharded engine (-j >= 1) and a fleet shard
+// (-shard i/N) all run the same shard loop, whose cell is one (shard,
+// run); a journal resumes only on the engine that wrote it. On SIGINT or
+// SIGTERM the campaign stops gracefully at the next channel boundary,
+// syncs the journal and the telemetry sinks, and exits with status 3
+// (distinct from error status 1) so wrappers know the journal is
+// resumable; a second signal exits immediately.
 //
 // With -fault-rate > 0 the run executes under deterministic fault
 // injection (chaos mode): the virtual network and broadcast layer fail
@@ -180,13 +182,8 @@ func run(args []string) error {
 	if err := ckpt.Validate(); err != nil {
 		return err
 	}
-	if ckpt.Enabled() {
-		if *runName != "" {
-			return fmt.Errorf("-checkpoint journals whole campaigns; it conflicts with -run")
-		}
-		if !shardFlag.Enabled() && jobs.N < 1 {
-			return fmt.Errorf("-checkpoint needs a (shard, run) cell boundary; it requires the sharded engine (-j >= 1) or a fleet shard (-shard i/N)")
-		}
+	if ckpt.Enabled() && *runName != "" {
+		return fmt.Errorf("-checkpoint journals whole campaigns; it conflicts with -run")
 	}
 
 	opts := hbbtvlab.Options{
@@ -248,7 +245,8 @@ func run(args []string) error {
 	}
 	measured := len(funnel.Final)
 	if shardFlag.Enabled() {
-		measured = shardChannels(len(funnel.Final), shardFlag.Index, shardFlag.Of)
+		eff := core.EffectiveShards(shardFlag.Of, measured)
+		measured = len(core.ShardSubset(funnel.Final, shardFlag.Index, eff))
 	}
 
 	var sink *telemetry.LineSink
@@ -296,21 +294,9 @@ func run(args []string) error {
 	// the process exits with the distinct interrupted status.
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
-	co := hbbtvlab.CheckpointOptions{Path: ckpt.Path, Resume: ckpt.Resume, SyncEvery: ckpt.SyncEvery}
-
 	var ds *store.Dataset
 	var degradedErr error
-	if shardFlag.Enabled() {
-		if ckpt.Enabled() {
-			ds, err = study.ExecuteShardResumable(ctx, shardFlag.Index, shardFlag.Of, co)
-		} else {
-			ds, err = study.ExecuteShardContext(ctx, shardFlag.Index, shardFlag.Of)
-		}
-		if err != nil && (ds == nil || !hbbtvlab.DegradedOnly(err)) {
-			return interruptedError(ctx, err, &ckpt)
-		}
-		degradedErr = err
-	} else if *runName != "" {
+	if *runName != "" {
 		rd, err := study.RunContext(ctx, store.RunName(*runName))
 		if err != nil && (rd == nil || !hbbtvlab.DegradedOnly(err)) {
 			return interruptedError(ctx, err, &ckpt)
@@ -322,12 +308,14 @@ func run(args []string) error {
 			ds.Trace = opts.Telemetry.Trace()
 		}
 	} else {
-		var err error
-		if ckpt.Enabled() {
-			ds, err = study.ExecuteResumable(ctx, co)
-		} else {
-			ds, err = study.ExecuteRunsContext(ctx)
+		var eo hbbtvlab.ExecOptions
+		if shardFlag.Enabled() {
+			eo.Shard = &hbbtvlab.FleetShard{Index: shardFlag.Index, Of: shardFlag.Of}
 		}
+		if ckpt.Enabled() {
+			eo.Checkpoint = &hbbtvlab.CheckpointOptions{Path: ckpt.Path, Resume: ckpt.Resume, SyncEvery: ckpt.SyncEvery}
+		}
+		ds, err = study.Execute(ctx, eo)
 		if err != nil && (ds == nil || !hbbtvlab.DegradedOnly(err)) {
 			return interruptedError(ctx, err, &ckpt)
 		}
@@ -409,23 +397,6 @@ func interruptedError(ctx context.Context, err error, ck *cli.Checkpoint) error 
 		return fmt.Errorf("%w; checkpoint journal %s holds every completed cell — rerun with -resume to continue", errInterrupted, ck.Path)
 	}
 	return fmt.Errorf("%w (no -checkpoint journal; a rerun starts over)", errInterrupted)
-}
-
-// shardChannels counts the channels shard i of an N-way fleet owns under
-// the engine's clamped strided partition (for the progress total).
-func shardChannels(channels, shard, of int) int {
-	eff := of
-	if eff > channels {
-		eff = channels
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	n := 0
-	for i := shard; i < channels; i += eff {
-		n++
-	}
-	return n
 }
 
 // failuresError enforces the -max-channel-failures budget: it counts every

@@ -11,7 +11,6 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/core"
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
-	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 )
 
 // This file is the fleet topology's library surface: ExecuteShard runs
@@ -21,19 +20,16 @@ import (
 // byte-identical by Digest. Both follow the package's convenience/context
 // pairing convention (see the package doc).
 
-// ExecuteShard is ExecuteShardContext with context.Background().
-func (s *Study) ExecuteShard(shard, of int) (*store.Dataset, error) {
-	return s.ExecuteShardContext(context.Background(), shard, of)
-}
-
-// ExecuteShardContext performs the configured measurement runs over the
-// shard-th of of strided partitions of the selected channel order — the
-// exact partition the in-process sharded engine (Options.Parallelism >= 1
-// with Options.Shards = of) assigns to its shard-th framework, on a
-// framework seeded the same way (Seed ^ shard) — and returns a shard
-// dataset carrying a store.ShardManifest. Merging the datasets of shards
-// 0..of-1 (Merge, or the hbbtv-merge command) yields a dataset whose
-// Digest is byte-identical to that single-process run's.
+// ExecuteShard is Execute for fleet shard shard of of, with
+// context.Background() and no checkpoint. It performs the configured
+// measurement runs over the shard-th of of strided partitions of the
+// selected channel order — the exact partition the in-process sharded
+// engine (Options.Parallelism >= 1 with Options.Shards = of) assigns to
+// its shard-th framework, run by the same core.RunShard on a framework
+// seeded the same way (Seed ^ shard) — and returns a shard dataset
+// carrying a store.ShardManifest. Merging the datasets of shards 0..of-1
+// (Merge, or the hbbtv-merge command) yields a dataset whose Digest is
+// byte-identical to that single-process run's.
 //
 // When of exceeds the channel count the partition clamps exactly like the
 // in-process engine's: shards at or beyond the channel count own no
@@ -42,135 +38,66 @@ func (s *Study) ExecuteShard(shard, of int) (*store.Dataset, error) {
 // When Options.Telemetry is set, the registry must have at least of shard
 // slots (build it as NewTelemetry(Options{Parallelism: 1, Shards: of}));
 // the shard's instrumentation lands in slot shard, mirroring the
-// in-process engine.
-//
-// Like ExecuteRunsContext, per-channel degradation (see DegradedOnly)
-// does not abort the shard: failed visits are recorded as outcomes, the
-// remaining runs proceed, and the joined degradation errors are returned
-// with the well-formed dataset. A cancelled context returns the partial
-// dataset with the context's error; a partial shard fails the merge's
-// coverage verification rather than corrupting the campaign.
-func (s *Study) ExecuteShardContext(ctx context.Context, shard, of int) (*store.Dataset, error) {
-	return s.executeShard(ctx, shard, of, nil)
+// in-process engine. A partial shard (cancelled context) fails the
+// merge's coverage verification rather than corrupting the campaign.
+func (s *Study) ExecuteShard(shard, of int) (*store.Dataset, error) {
+	return s.Execute(context.Background(), ExecOptions{Shard: &FleetShard{Index: shard, Of: of}})
 }
 
-// executeShard is the common body of ExecuteShardContext and the
-// checkpointed fleet path (ExecuteShardResumable): cp, when non-nil,
-// replays the shard's journaled run prefix and commits every freshly
-// completed run as a cell, exactly like core.Pool's runShard.
-func (s *Study) executeShard(ctx context.Context, shard, of int, cp *core.Checkpointer) (*store.Dataset, error) {
-	if of < 1 {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard count %d must be >= 1", of)
+// checkFleetShard rejects a fleet shard the study cannot run.
+func (s *Study) checkFleetShard(fs FleetShard) error {
+	if fs.Of < 1 {
+		return fmt.Errorf("hbbtvlab: ExecuteShard: shard count %d must be >= 1", fs.Of)
 	}
-	if shard < 0 || shard >= of {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard index %d out of range [0, %d)", shard, of)
+	if fs.Index < 0 || fs.Index >= fs.Of {
+		return fmt.Errorf("hbbtvlab: ExecuteShard: shard index %d out of range [0, %d)", fs.Index, fs.Of)
 	}
-	if tr := s.opts.Telemetry; tr != nil && tr.Shards() <= shard {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: Options.Telemetry has %d shard slot(s), shard %d of %d needs %d (build the registry with NewTelemetry(Options{Parallelism: 1, Shards: %d}))",
-			tr.Shards(), shard, of, shard+1, of)
+	if tr := s.opts.Telemetry; tr != nil && tr.Shards() <= fs.Index {
+		return fmt.Errorf("hbbtvlab: ExecuteShard: Options.Telemetry has %d shard slot(s), shard %d of %d needs %d (build the registry with NewTelemetry(Options{Parallelism: 1, Shards: %d}))",
+			tr.Shards(), fs.Index, fs.Of, fs.Index+1, fs.Of)
 	}
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
-	eff := core.EffectiveShards(of, len(channels))
-	subset := core.ShardSubset(channels, shard, eff)
+	return nil
+}
 
+// executeShard runs one fleet collector through core.RunShard and stamps
+// the shard manifest on the result.
+func (s *Study) executeShard(ctx context.Context, fs FleetShard, channels []*dvb.Service, cp *core.Checkpointer) (*store.Dataset, error) {
+	subset := core.ShardSubset(channels, fs.Index, core.EffectiveShards(fs.Of, len(channels)))
+	ds := &store.Dataset{}
+	var err error
 	if len(subset) == 0 {
 		// The partition clamps: this shard owns no channels. Don't build a
 		// framework — powering a TV on and off logs entries the in-process
-		// engine (which only ever builds eff frameworks) never records, so
-		// an empty run must be synthesized, not executed, to merge
-		// byte-neutrally.
-		ds := &store.Dataset{}
+		// engine (which only ever builds the effective shard count of
+		// frameworks) never records, so an empty run must be synthesized,
+		// not executed, to merge byte-neutrally.
 		for _, spec := range s.opts.Runs {
 			ds.Runs = append(ds.Runs, &store.RunData{Name: spec.Name, Date: spec.Date})
 		}
-		if err := s.finishShard(ds, shard, of, channels); err != nil {
-			return ds, err
-		}
-		return ds, nil
-	}
-
-	fw, err := s.shardFramework(shard)
-	if err != nil {
-		return nil, fmt.Errorf("hbbtvlab: shard %d: build framework: %w", shard, err)
-	}
-
-	ds := &store.Dataset{}
-	runs := make([]*store.RunData, len(s.opts.Runs))
-	var degraded []error
-	var hard error
-	// The shard bracket runs in a closure so its deferred stop event and
-	// gauge flip land before finishShard collects the telemetry snapshot.
-	// The bracket mirrors core.Pool's runShard exactly — same gauge, same
-	// event details — so a fleet shard's slot is event-for-event identical
-	// to the in-process run's and the telemetry merge reproduces it.
-	func() {
-		if fw.Telemetry.Active() {
-			active := fw.Telemetry.Gauge("core_shards_active")
-			active.Set(1)
-			fw.Telemetry.Event(telemetry.EventShardStart, fmt.Sprintf("channels=%d", len(subset)))
-			defer func() {
-				fw.Telemetry.Event(telemetry.EventShardStop, "")
-				active.Set(0)
-			}()
-		}
-		start, rerr := cp.Resume(shard, s.opts.Runs, fw, runs)
-		if rerr != nil {
-			hard = fmt.Errorf("hbbtvlab: shard %d: %w", shard, rerr)
-			return
-		}
-		for si := start; si < len(s.opts.Runs); si++ {
-			spec := s.opts.Runs[si]
-			run, rerr := fw.ExecuteRunContext(ctx, spec, subset)
-			runs[si] = run // partial data is kept even on error
-			if rerr != nil {
-				// Mirror the in-process shard loop (core.Pool): degradation is
-				// recorded, committed, and the next run proceeds; anything
-				// else — above all cancellation — stops the shard without
-				// committing the partial run.
-				if !core.DegradedOnly(rerr) {
-					hard = fmt.Errorf("hbbtvlab: shard %d: run %s: %w", shard, spec.Name, rerr)
-					return
-				}
-				degraded = append(degraded, fmt.Errorf("hbbtvlab: shard %d: run %s: %w", shard, spec.Name, rerr))
-			}
-			if cerr := cp.CommitCell(shard, si, spec, fw, run); cerr != nil {
-				hard = fmt.Errorf("hbbtvlab: shard %d: run %s: checkpoint: %w", shard, spec.Name, cerr)
-				return
+	} else {
+		var runs []*store.RunData
+		runs, err = core.RunShard(ctx, s.shardFramework, fs.Index, s.opts.Runs, subset, cp)
+		for _, run := range runs {
+			if run != nil {
+				ds.Runs = append(ds.Runs, run)
 			}
 		}
-	}()
-	for _, run := range runs {
-		if run != nil {
-			ds.Runs = append(ds.Runs, run)
+		// RunShard leaves cancellation to its caller, like core.Pool.
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		if err != nil {
+			err = fmt.Errorf("hbbtvlab: shard %d: %w", fs.Index, err)
 		}
 	}
-	if hard != nil {
-		s.finishShard(ds, shard, of, channels)
-		return ds, hard
-	}
-	if err := s.finishShard(ds, shard, of, channels); err != nil {
-		return ds, err
-	}
-	return ds, errors.Join(degraded...)
-}
-
-// finishShard stamps the dataset with its shard manifest and the final
-// telemetry snapshot.
-func (s *Study) finishShard(ds *store.Dataset, shard, of int, channels []*dvb.Service) error {
-	order := make([]string, len(channels))
-	for i, svc := range channels {
-		order[i] = svc.Name
-	}
-	params, err := s.studyParams()
-	if err != nil {
-		return err
+	order := channelOrder(channels)
+	params, perr := s.studyParams()
+	if perr != nil {
+		return ds, errors.Join(err, perr)
 	}
 	m := &store.ShardManifest{
-		Shard:        shard,
-		Shards:       of,
+		Shard:        fs.Index,
+		Shards:       fs.Of,
 		Params:       params,
 		ChannelOrder: order,
 		OrderDigest:  store.ChannelOrderDigest(order),
@@ -179,8 +106,17 @@ func (s *Study) finishShard(ds *store.Dataset, shard, of int, channels []*dvb.Se
 		m.Coverage = append(m.Coverage, store.CoverageFromRun(run))
 	}
 	ds.Shard = m
-	s.attachTelemetry(ds)
-	return nil
+	return ds, err
+}
+
+// channelOrder is the canonical channel order (the funnel output's
+// names) that shard manifests and checkpoint headers pin.
+func channelOrder(channels []*dvb.Service) []string {
+	order := make([]string, len(channels))
+	for i, svc := range channels {
+		order[i] = svc.Name
+	}
+	return order
 }
 
 // studyParams fingerprints the study's effective configuration for the

@@ -152,7 +152,7 @@ func TestFleetChaosDigestParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refDS, err := ref.ExecuteRunsContext(context.Background())
+	refDS, err := ref.Execute(context.Background(), ExecOptions{})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}

@@ -19,22 +19,26 @@
 //
 // # Context pairing
 //
-// Every long-running entry point comes in a convenience/context pair:
-// ExecuteRuns and ExecuteRunsContext, ExecuteShard and
-// ExecuteShardContext, Run and RunContext, Merge and MergeContext,
-// Analyze and AnalyzeContext. The convenience form is the context form
-// called with context.Background(); the context form supports cooperative
-// cancellation and — where noted — returns the well-formed partial
-// result collected so far together with the context's error.
+// Every long-running entry point has a context form that supports
+// cooperative cancellation and — where noted — returns the well-formed
+// partial result collected so far together with the context's error.
+// Measurement has one: Execute(ctx, ExecOptions{Shard, Checkpoint})
+// covers the whole campaign, one fleet shard, and either with a
+// checkpoint journal; ExecuteRuns, ExecuteShard and ExecuteResumable are
+// its convenience forms. The other pairs are Run and RunContext, Merge
+// and MergeContext, Analyze and AnalyzeContext, where the convenience
+// form is the context form called with context.Background().
 //
 // # Fleet topology
 //
 // A campaign can be split across independent collector processes:
-// ExecuteShard(i, N) measures the i-th strided partition of the channel
-// order and returns a shard dataset whose store.ShardManifest makes it
-// self-describing; Merge verifies K such datasets cover the campaign
-// exactly once with identical study parameters and recombines them into
-// a dataset byte-identical (by Digest) to a single-process sharded run
+// ExecuteShard(i, N) (Execute with ExecOptions.Shard) measures the i-th
+// strided partition of the channel order and returns a shard dataset
+// whose store.ShardManifest makes it self-describing. A collector runs
+// the same shard loop (core.RunShard) as each shard of the in-process
+// engine. Merge verifies K such datasets cover the campaign exactly once
+// with identical study parameters and recombines them into a dataset
+// byte-identical (by Digest) to a single-process sharded run
 // (Parallelism >= 1) of the same study with Options.Shards = N. The
 // hbbtv-measure -shard i/N flag and the hbbtv-merge command are the CLI
 // face of the same API.
@@ -73,12 +77,15 @@ type Options struct {
 	Runs []core.RunSpec
 	// Parallelism selects the measurement engine. 0 (the default) is the
 	// paper's exact procedure: one TV measures every channel serially on a
-	// single timeline. N >= 1 enables the sharded engine: the channel list
-	// is partitioned across Shards isolated frameworks (own virtual clock,
-	// recorder, TV, and synthetic world, seeded Seed ^ shard) and N worker
-	// goroutines execute the shards. For a fixed Shards value the sharded
-	// engine produces a byte-identical dataset for every N >= 1 — workers
-	// change wall-clock time only.
+	// single timeline — the study's own post-funnel framework, run as a
+	// one-shard pool (Shards is ignored). N >= 1 enables the sharded
+	// engine: the channel list is partitioned across Shards isolated
+	// frameworks (own virtual clock, recorder, TV, and synthetic world,
+	// seeded Seed ^ shard) and N worker goroutines execute the shards.
+	// For a fixed Shards value the sharded engine produces a
+	// byte-identical dataset for every N >= 1 — workers change wall-clock
+	// time only. Both engines run the same shard loop, so both can be
+	// checkpointed and resumed (see ExecuteResumable).
 	Parallelism int
 	// Shards is the logical shard count of the sharded engine (0 =
 	// core.DefaultShards). Changing it changes the shard partition and
@@ -88,7 +95,7 @@ type Options struct {
 	// the given registry (build one with NewTelemetry). Telemetry reads
 	// the virtual clock only and is excluded from Dataset.Digest, so
 	// enabling it never changes results; the final snapshot is attached
-	// to the returned Dataset (and persisted by Dataset.Save).
+	// to the returned Dataset (and persisted by store.Save).
 	Telemetry *telemetry.Registry
 	// Faults, when non-nil, enables deterministic fault injection: dead
 	// hosts, timeouts, hangs, 5xx bursts, truncated/reset bodies, tune
@@ -167,8 +174,9 @@ type Study struct {
 	selected []*dvb.Service
 
 	// worldsMu guards shardWorlds: the per-shard synthetic worlds built by
-	// shardFramework, kept so the checkpoint layer can capture and restore
-	// their handler state (tracker rng positions and ID counters).
+	// shardFramework (or the study's own world, the serial engine's one
+	// shard), kept so the checkpoint layer can capture and restore their
+	// handler state (tracker rng positions and ID counters).
 	worldsMu    sync.Mutex
 	shardWorlds map[int]*synth.World
 }
@@ -179,6 +187,15 @@ func (s *Study) shardWorld(shard int) *synth.World {
 	s.worldsMu.Lock()
 	defer s.worldsMu.Unlock()
 	return s.shardWorlds[shard]
+}
+
+func (s *Study) setShardWorld(shard int, w *synth.World) {
+	s.worldsMu.Lock()
+	defer s.worldsMu.Unlock()
+	if s.shardWorlds == nil {
+		s.shardWorlds = make(map[int]*synth.World)
+	}
+	s.shardWorlds[shard] = w
 }
 
 // NewStudy builds the world and wires the measurement framework to it.
@@ -270,74 +287,116 @@ func (s *Study) Selected() ([]*dvb.Service, error) {
 	return s.selected, nil
 }
 
-// ExecuteRuns performs all configured measurement runs over the selected
-// channels and returns the full dataset.
-func (s *Study) ExecuteRuns() (*store.Dataset, error) {
-	return s.ExecuteRunsContext(context.Background())
+// ExecOptions select what Study.Execute measures and whether it journals.
+// The zero value measures the whole campaign without a checkpoint.
+type ExecOptions struct {
+	// Shard, when non-nil, measures one collector's partition of a fleet
+	// campaign instead of the whole campaign (see the package doc's
+	// "Fleet topology").
+	Shard *FleetShard
+	// Checkpoint, when non-nil, journals every completed (shard, run) cell
+	// to a write-ahead checkpoint so a killed campaign can resume (see
+	// CheckpointOptions).
+	Checkpoint *CheckpointOptions
 }
 
-// ExecuteRunsContext is ExecuteRuns with cooperative cancellation. When
-// Options.Parallelism >= 1, the sharded measurement engine executes the
-// runs (see Options.Parallelism); otherwise the single-TV serial procedure
-// of the paper runs on the study's own framework. In both modes a
-// cancelled context yields the well-formed partial dataset collected so
-// far together with the context's error.
-func (s *Study) ExecuteRunsContext(ctx context.Context) (*store.Dataset, error) {
+// FleetShard names one collector of a fleet campaign: the Index-th of Of
+// strided partitions of the selected channel order.
+type FleetShard struct {
+	Index, Of int
+}
+
+// ExecuteRuns is Execute for the whole campaign with
+// context.Background() and no checkpoint.
+func (s *Study) ExecuteRuns() (*store.Dataset, error) {
+	return s.Execute(context.Background(), ExecOptions{})
+}
+
+// Execute performs all configured measurement runs over the selected
+// channels and returns the dataset: the whole campaign, or with
+// eo.Shard one fleet collector's shard dataset (see ExecuteShard).
+//
+// Every path runs the engine's one shard loop (core.RunShard). With
+// Options.Parallelism >= 1 the sharded engine partitions the channels
+// across Shards isolated frameworks and merges them; with Parallelism 0
+// the paper's serial procedure runs as a one-shard pool on the study's
+// own framework, so one TV measures every channel on a single timeline.
+//
+// With eo.Checkpoint every completed cell is committed to the journal
+// before its shard proceeds (see ExecuteResumable), for every engine.
+//
+// Per-channel degradation (see DegradedOnly) does not abort the campaign:
+// failed visits are recorded as outcomes, the remaining runs proceed, and
+// the joined degradation errors are returned with the well-formed
+// dataset. A cancelled context yields the well-formed partial dataset
+// collected so far together with the context's error.
+func (s *Study) Execute(ctx context.Context, eo ExecOptions) (ds *store.Dataset, err error) {
+	if eo.Shard != nil {
+		if err := s.checkFleetShard(*eo.Shard); err != nil {
+			return nil, err
+		}
+	}
 	channels, err := s.Selected()
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Parallelism >= 1 {
-		pool := &core.Pool{
-			Shards:  s.opts.Shards,
-			Workers: s.opts.Parallelism,
-			Factory: s.shardFramework,
-			// Merge phases are engine-controller work, timestamped on the
-			// study clock (which the sharded engine leaves untouched — the
-			// shards advance their own clocks — so controller events are as
-			// deterministic as the shards' own).
-			Telemetry: s.opts.Telemetry.Controller(s.Framework.Clock.Now),
-		}
-		ds, err := pool.ExecuteRuns(ctx, s.opts.Runs, channels)
-		s.attachTelemetry(ds)
+	var cp *core.Checkpointer
+	if eo.Checkpoint != nil {
+		want, err := s.checkpointHeader(channels, eo.Shard)
 		if err != nil {
-			return ds, fmt.Errorf("hbbtvlab: sharded runs: %w", err)
+			return nil, err
 		}
-		return ds, nil
-	}
-	ds := &store.Dataset{}
-	var degraded []error
-	// The serial campaign span must close before attachTelemetry collects
-	// the trace (open spans are excluded from the artifact), so it is
-	// ended explicitly on both exits rather than deferred.
-	campaign := s.Framework.Telemetry.StartSpan(telemetry.SpanCampaign,
-		fmt.Sprintf("runs=%d", len(s.opts.Runs)))
-	for _, spec := range s.opts.Runs {
-		run, err := s.Framework.ExecuteRunContext(ctx, spec, channels)
-		if run != nil {
-			ds.Runs = append(ds.Runs, run)
-		}
+		loaded, journal, err := openJournal(*eo.Checkpoint, want)
 		if err != nil {
-			// Per-channel degradation (visits recorded as failed outcomes)
-			// must not abort the campaign's remaining runs; anything else
-			// — cancellation above all — still stops here.
-			if core.DegradedOnly(err) {
-				degraded = append(degraded, fmt.Errorf("hbbtvlab: run %s: %w", spec.Name, err))
-				continue
+			return nil, err
+		}
+		// The close syncs every committed cell; its error matters even
+		// when the campaign itself succeeded.
+		defer func() {
+			if cerr := journal.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("hbbtvlab: close checkpoint journal: %w", cerr))
 			}
-			campaign.End()
-			s.attachTelemetry(ds)
-			return ds, fmt.Errorf("hbbtvlab: run %s: %w", spec.Name, err)
-		}
+		}()
+		cp = s.checkpointer(loaded, journal)
 	}
-	campaign.End()
+	if eo.Shard != nil {
+		ds, err = s.executeShard(ctx, *eo.Shard, channels, cp)
+	} else {
+		ds, err = s.executeCampaign(ctx, channels, cp)
+	}
 	s.attachTelemetry(ds)
-	return ds, errors.Join(degraded...)
+	return ds, err
+}
+
+// executeCampaign runs the whole campaign on the in-process pool: N
+// shards then a merge. The paper's serial procedure (Parallelism 0) is
+// the one-shard pool over the study's own post-funnel framework.
+func (s *Study) executeCampaign(ctx context.Context, channels []*dvb.Service, cp *core.Checkpointer) (*store.Dataset, error) {
+	pool := &core.Pool{
+		Shards:  s.opts.Shards,
+		Workers: s.opts.Parallelism,
+		Factory: s.shardFramework,
+		// Merge phases are engine-controller work, timestamped on the
+		// study clock (which the sharded engine leaves untouched — the
+		// shards advance their own clocks — and the serial engine's one
+		// shard advances deterministically, so controller events are as
+		// deterministic as the shards' own).
+		Telemetry:  s.opts.Telemetry.Controller(s.Framework.Clock.Now),
+		Checkpoint: cp,
+	}
+	if s.opts.Parallelism < 1 {
+		pool.Shards, pool.Workers, pool.Factory = 1, 1, s.studyFramework
+	}
+	ds, err := pool.ExecuteRuns(ctx, s.opts.Runs, channels)
+	if err != nil {
+		return ds, fmt.Errorf("hbbtvlab: campaign: %w", err)
+	}
+	return ds, nil
 }
 
 // attachTelemetry embeds the engine's final telemetry snapshot and span
 // trace in the dataset (a no-op when telemetry is disabled). Both ride
-// along in Dataset.Save but are excluded from Dataset.Digest.
+// along in store.Save but are excluded from Dataset.Digest.
 func (s *Study) attachTelemetry(ds *store.Dataset) {
 	if ds != nil && s.opts.Telemetry != nil {
 		ds.Telemetry = s.opts.Telemetry.Snapshot()
@@ -357,6 +416,14 @@ func (s *Study) Telemetry() *telemetry.Registry { return s.opts.Telemetry }
 // actually stopped.
 func DegradedOnly(err error) bool { return core.DegradedOnly(err) }
 
+// studyFramework is the serial engine's core.ShardFactory: its only
+// shard is the study's own post-funnel framework on the study's world,
+// registered as shard 0's world so checkpoints capture and restore it.
+func (s *Study) studyFramework(shard int) (*core.Framework, error) {
+	s.setShardWorld(shard, s.World)
+	return s.Framework, nil
+}
+
 // shardFramework is the study's core.ShardFactory: it rebuilds the
 // synthetic world from the study seed on a shard-private virtual clock, so
 // every shard sees an identical Internet with fully isolated handler state
@@ -365,12 +432,7 @@ func DegradedOnly(err error) bool { return core.DegradedOnly(err) }
 func (s *Study) shardFramework(shard int) (*core.Framework, error) {
 	clk := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
 	world := synth.Build(synth.Config{Seed: s.opts.Seed, Scale: s.opts.Scale}, clk)
-	s.worldsMu.Lock()
-	if s.shardWorlds == nil {
-		s.shardWorlds = make(map[int]*synth.World)
-	}
-	s.shardWorlds[shard] = world
-	s.worldsMu.Unlock()
+	s.setShardWorld(shard, world)
 	return core.New(core.Config{
 		Internet:     world.Internet,
 		Seed:         s.opts.Seed ^ int64(shard),

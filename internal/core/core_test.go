@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -185,7 +186,7 @@ func TestExecuteRunCollectsEverything(t *testing.T) {
 	for _, ch := range world.Channels {
 		channels = append(channels, ch.Service)
 	}
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestExecuteRunWipesBetweenRuns(t *testing.T) {
 		Date:  time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC),
 		Watch: 60 * time.Second, ShotEvery: 60 * time.Second,
 	}
-	run1, err := fw.ExecuteRun(spec, channels)
+	run1, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestExecuteRunWipesBetweenRuns(t *testing.T) {
 	spec2.Name = store.RunRed
 	spec2.Button = appmodel.KeyRed
 	spec2.Date = time.Date(2023, 9, 14, 9, 0, 0, 0, time.UTC)
-	run2, err := fw.ExecuteRun(spec2, channels)
+	run2, err := fw.ExecuteRunContext(context.Background(), spec2, channels)
 	if err != nil {
 		t.Fatal(err)
 	}

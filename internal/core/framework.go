@@ -309,17 +309,13 @@ func (f *Framework) backoff(channel string, attempt int) {
 	f.Clock.Sleep(delay)
 }
 
-// ExecuteRun performs one measurement run over the given channels,
-// following the Section IV-C procedure: start proxy, power the TV on,
-// visit every (available) channel in randomized order, collect, wipe,
-// power off.
-func (f *Framework) ExecuteRun(spec RunSpec, channels []*dvb.Service) (*store.RunData, error) {
-	return f.ExecuteRunContext(context.Background(), spec, channels)
-}
-
-// ExecuteRunContext is ExecuteRun with cooperative cancellation,
-// per-channel panic recovery, and per-channel resilience. Cancellation is
-// checked between channel visits; when the context is done, the remaining
+// ExecuteRunContext performs one measurement run over the given
+// channels, following the Section IV-C procedure: start proxy, power the
+// TV on, visit every (available) channel in randomized order, collect,
+// wipe, power off. core.RunShard is its one caller in the engine.
+//
+// The run supports cooperative cancellation, recovers per-channel
+// panics, and survives per-channel failures. Cancellation is checked between channel visits; when the context is done, the remaining
 // channels are marked skipped, the run is collected as usual, and the
 // well-formed (possibly partial) RunData is returned alongside the
 // context's error. A panic inside a channel's application is recovered,

@@ -59,13 +59,6 @@ type Pool struct {
 	Checkpoint *Checkpointer
 }
 
-// shardOutcome is what one shard contributes: one RunData per spec index
-// (nil where the shard did not reach that run) and the first error.
-type shardOutcome struct {
-	runs []*store.RunData
-	err  error
-}
-
 // ExecuteRuns performs all specs over the channel list using the sharded
 // engine and returns the merged dataset.
 //
@@ -103,7 +96,9 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 		order[i] = svc.Name
 	}
 
-	outcomes := make([]shardOutcome, shards)
+	// Per shard: one RunData per spec index (see RunShard) and its error.
+	runs := make([][]*store.RunData, shards)
+	errs := make([]error, shards)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,7 +106,7 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 		go func() {
 			defer wg.Done()
 			for shard := range jobs {
-				outcomes[shard] = p.runShard(ctx, shard, shards, specs, channels)
+				runs[shard], errs[shard] = RunShard(ctx, p.Factory, shard, specs, ShardSubset(channels, shard, shards), p.Checkpoint)
 			}
 		}()
 	}
@@ -125,9 +120,9 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 	for si := range specs {
 		shardRuns := make([]*store.RunData, shards)
 		any := false
-		for s := range outcomes {
-			if len(outcomes[s].runs) > si && outcomes[s].runs[si] != nil {
-				shardRuns[s] = outcomes[s].runs[si]
+		for s := range runs {
+			shardRuns[s] = runs[s][si]
+			if shardRuns[s] != nil {
 				any = true
 			}
 		}
@@ -144,30 +139,44 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 	if err := ctx.Err(); err != nil {
 		return ds, err
 	}
-	var errs []error
-	for s := range outcomes {
-		if outcomes[s].err != nil {
-			errs = append(errs, fmt.Errorf("core: shard %d: %w", s, outcomes[s].err))
+	for s, err := range errs {
+		if err != nil {
+			errs[s] = fmt.Errorf("core: shard %d: %w", s, err)
 		}
 	}
 	return ds, errors.Join(errs...)
 }
 
-// runShard executes all specs for one shard on a freshly built framework.
-func (p *Pool) runShard(ctx context.Context, shard, shards int, specs []RunSpec, channels []*dvb.Service) (out shardOutcome) {
-	out.runs = make([]*store.RunData, len(specs))
+// RunShard is the engine's one shard loop: it builds the shard's
+// framework with factory and executes every spec over the shard's channel
+// subset on it. The in-process Pool runs one RunShard per logical shard
+// and merges them; a fleet collector runs exactly one and stamps a shard
+// manifest on the result; the paper's serial procedure is a one-shard
+// pool whose factory returns the study's own framework.
+//
+// runs holds one RunData per spec index: nil where the shard never
+// reached the run, partial data where a run was cancelled or hard-failed.
+// cp (nil-safe) replays the shard's checkpointed run prefix instead of
+// re-measuring it and commits every freshly completed run as a cell.
+//
+// Per-channel degradation (see DegradedOnly) is recorded, committed, and
+// the shard proceeds with its next run; any other run error stops the
+// shard without committing the partial run. A cancelled context's error
+// is left out of err — the caller reports it once. A panic anywhere in
+// the shard, framework construction included, fails only this shard with
+// a wrapped error.
+func RunShard(ctx context.Context, factory ShardFactory, shard int, specs []RunSpec, subset []*dvb.Service, cp *Checkpointer) (runs []*store.RunData, err error) {
+	runs = make([]*store.RunData, len(specs))
 	defer func() {
 		if r := recover(); r != nil {
-			out.err = fmt.Errorf("shard panic: %v", r)
+			err = fmt.Errorf("shard panic: %v", r)
 		}
 	}()
 
-	fw, err := p.Factory(shard)
+	fw, err := factory(shard)
 	if err != nil {
-		out.err = fmt.Errorf("build framework: %w", err)
-		return out
+		return runs, fmt.Errorf("build framework: %w", err)
 	}
-	subset := ShardSubset(channels, shard, shards)
 	if fw.Telemetry.Active() {
 		active := fw.Telemetry.Gauge("core_shards_active")
 		active.Set(1)
@@ -179,35 +188,29 @@ func (p *Pool) runShard(ctx context.Context, shard, shards int, specs []RunSpec,
 	}
 	// Resume: replay the shard's checkpointed run prefix and fast-forward
 	// the framework (and the shard's world) to the last cell's state.
-	start, err := p.Checkpoint.Resume(shard, specs, fw, out.runs)
+	start, err := cp.Resume(shard, specs, fw, runs)
 	if err != nil {
-		out.err = err
-		return out
+		return runs, err
 	}
 	var errs []error
 	for si := start; si < len(specs); si++ {
 		spec := specs[si]
 		run, err := fw.ExecuteRunContext(ctx, spec, subset)
-		out.runs[si] = run // partial data is kept even on error
+		runs[si] = run // partial data is kept even on error
 		if err != nil {
-			// Cancellation is reported once by ExecuteRuns, not per shard.
 			if cerr := ctx.Err(); cerr == nil || !errors.Is(err, cerr) {
 				errs = append(errs, fmt.Errorf("run %s: %w", spec.Name, err))
 			}
-			// Per-channel degradation (failed visits recorded as outcomes)
-			// does not stop the shard's remaining runs; anything else —
-			// cancellation, shard-level failure — does. A cancelled or
-			// hard-failed run is never committed as a cell: its data is
-			// partial, and a resume must re-measure it.
+			// A cancelled or hard-failed run is never committed as a cell:
+			// its data is partial, and a resume must re-measure it.
 			if !DegradedOnly(err) {
 				break
 			}
 		}
-		if cerr := p.Checkpoint.CommitCell(shard, si, spec, fw, run); cerr != nil {
+		if cerr := cp.CommitCell(shard, si, spec, fw, run); cerr != nil {
 			errs = append(errs, fmt.Errorf("run %s: checkpoint: %w", spec.Name, cerr))
 			break
 		}
 	}
-	out.err = errors.Join(errs...)
-	return out
+	return runs, errors.Join(errs...)
 }

@@ -302,20 +302,51 @@ func TestPoolFactoryErrorFailsOnlyThatShard(t *testing.T) {
 	const seed, scale = 3, 0.04
 	channels := poolChannels(seed, scale)
 	specs := poolSpecs()[:1]
+	onFire := errors.New("shard 1 hardware on fire")
 
 	inner := poolFactory(seed, scale, nil)
-	factory := func(shard int) (*Framework, error) {
-		if shard == 1 {
-			return nil, errors.New("shard 1 hardware on fire")
-		}
-		return inner(shard)
-	}
-	pool := &Pool{Shards: 4, Workers: 2, Factory: factory}
-	ds, err := pool.ExecuteRuns(context.Background(), specs, channels)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("err = %v, want shard 1 failure", err)
-	}
-	if len(ds.Runs) != 1 || len(ds.Runs[0].Channels) == 0 {
-		t.Fatal("surviving shards contributed no data")
+	for _, tc := range []struct {
+		name string
+		fail func() (*Framework, error)
+		want string
+	}{
+		{"error", func() (*Framework, error) { return nil, onFire }, "core: shard 1: build framework: shard 1 hardware on fire"},
+		// A panic outside channel scope is recovered by RunShard, the one
+		// shard loop the pool, fleet collectors and the serial engine share.
+		{"panic", func() (*Framework, error) { panic("factory exploded") }, "core: shard 1: shard panic: factory exploded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			factory := func(shard int) (*Framework, error) {
+				if shard == 1 {
+					return tc.fail()
+				}
+				return inner(shard)
+			}
+			pool := &Pool{Shards: 4, Workers: 2, Factory: factory}
+			ds, err := pool.ExecuteRuns(context.Background(), specs, channels)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want only %q", err, tc.want)
+			}
+			if tc.name == "error" && !errors.Is(err, onFire) {
+				t.Fatalf("err = %v does not wrap the factory error", err)
+			}
+			if len(ds.Runs) != 1 {
+				t.Fatalf("got %d runs, want 1", len(ds.Runs))
+			}
+			lost := make(map[string]bool)
+			for _, svc := range ShardSubset(channels, 1, 4) {
+				lost[svc.Name] = true
+			}
+			got := 0
+			for _, o := range ds.Runs[0].Outcomes {
+				if lost[o.Channel] {
+					t.Fatalf("failed shard 1's channel %s has an outcome", o.Channel)
+				}
+				got++
+			}
+			if want := len(channels) - len(lost); got != want {
+				t.Fatalf("surviving shards recorded %d outcomes, want %d", got, want)
+			}
+		})
 	}
 }

@@ -78,7 +78,7 @@ func TestRunContinuesPastFailedChannel(t *testing.T) {
 	for _, ch := range world.Channels {
 		channels = append(channels, ch.Service)
 	}
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err == nil {
 		t.Fatal("always-failing channel produced no error")
 	}
@@ -140,7 +140,7 @@ func TestQuarantineAfterConsecutiveFailedRuns(t *testing.T) {
 	}
 	statuses := make([]store.OutcomeStatus, 0, 3)
 	for i := 0; i < 3; i++ {
-		run, err := fw.ExecuteRun(spec, channels)
+		run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 		if err != nil && !DegradedOnly(err) {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestSuccessResetsFailStreak(t *testing.T) {
 	// Fail once by hand, then let a clean run pass, then fail again: the
 	// streak must never reach 2.
 	fw.failStreak[victim] = 1
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestVisitDeadlineBoundsHangs(t *testing.T) {
 	for _, ch := range world.Channels {
 		channels = append(channels, ch.Service)
 	}
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err == nil {
 		t.Fatal("hanging channel produced no error")
 	}

@@ -107,6 +107,12 @@ type Checkpoint struct {
 	// FleetShard is the fleet partition index for -shard i/N collectors,
 	// or -1 for in-process campaigns (which own every shard).
 	FleetShard int `json:"fleetShard"`
+	// Engine is EngineSerial for the paper's serial procedure and empty
+	// for the sharded engine. The two differ in more than topology: the
+	// serial engine measures on the study's post-funnel framework, the
+	// sharded engine on freshly built shard worlds, so a journal of one
+	// can never resume the other even at one shard.
+	Engine string `json:"engine,omitempty"`
 	// Runs lists the run names in spec order; cell RunIndex values index
 	// into it.
 	Runs []RunName `json:"runs"`
@@ -124,6 +130,10 @@ type Checkpoint struct {
 func (cp *Checkpoint) Validate(want *Checkpoint) error {
 	if field := cp.Params.diff(want.Params); field != "" {
 		return fmt.Errorf("store: checkpoint: study parameter mismatch: %s differs from the checkpointed campaign", field)
+	}
+	if cp.Engine != want.Engine {
+		return fmt.Errorf("store: checkpoint: engine mismatch: checkpoint was written by the %s, study wants the %s",
+			engineLabel(cp.Engine), engineLabel(want.Engine))
 	}
 	if cp.Shards != want.Shards {
 		return fmt.Errorf("store: checkpoint: shard count mismatch: checkpoint has %d, study wants %d", cp.Shards, want.Shards)
@@ -144,6 +154,16 @@ func (cp *Checkpoint) Validate(want *Checkpoint) error {
 		return fmt.Errorf("store: checkpoint: channel order mismatch: checkpoint digest %s, study digest %s", cp.OrderDigest, want.OrderDigest)
 	}
 	return nil
+}
+
+// EngineSerial marks a checkpoint of the serial engine (Parallelism 0).
+const EngineSerial = "serial"
+
+func engineLabel(engine string) string {
+	if engine == EngineSerial {
+		return "serial engine (-j 0)"
+	}
+	return "sharded engine (-j >= 1)"
 }
 
 func fleetShardLabel(shard int) string {

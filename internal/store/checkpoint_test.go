@@ -143,6 +143,7 @@ func TestCheckpointValidateNamesField(t *testing.T) {
 		{"run specs digest", func(cp *Checkpoint) { cp.Params.RunsDigest = "other" }, "run specs"},
 		{"fault config", func(cp *Checkpoint) { cp.Params.FaultsDigest = "other" }, "fault config"},
 		{"retry policy", func(cp *Checkpoint) { cp.Params.Retry.MaxAttempts++ }, "retry policy"},
+		{"engine", func(cp *Checkpoint) { cp.Engine = EngineSerial }, "engine"},
 		{"shard count", func(cp *Checkpoint) { cp.Shards++ }, "shard count"},
 		{"fleet shard", func(cp *Checkpoint) { cp.FleetShard = 1 }, "fleet shard"},
 		{"run count", func(cp *Checkpoint) { cp.Runs = cp.Runs[:1] }, "run specs mismatch"},

@@ -44,22 +44,17 @@ func BuildIndexReference(ctx context.Context, ds *Dataset, cfg IndexConfig) (*In
 	}
 	meta := make([]flowMeta, len(flows))
 
-	legacy := cfg.Classify != nil && cfg.ClassifyURL == nil && cfg.ClassifyFlow == nil
 	classify := func(i int) {
 		f := flows[i]
 		m := &meta[i]
 		m.url = f.URL.String()
 		m.host = f.Host()
 		m.party = etld.MustRegistrableDomain(m.host)
-		if legacy {
-			m.kind = cfg.Classify(f, m.url)
-		} else {
-			if cfg.ClassifyFlow != nil {
-				m.kind = cfg.ClassifyFlow(f)
-			}
-			if cfg.ClassifyURL != nil {
-				m.kind |= cfg.ClassifyURL(m.url)
-			}
+		if cfg.ClassifyFlow != nil {
+			m.kind = cfg.ClassifyFlow(f)
+		}
+		if cfg.ClassifyURL != nil {
+			m.kind |= cfg.ClassifyURL(m.url)
 		}
 		m.cookies = f.SetCookies()
 	}

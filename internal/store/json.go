@@ -173,12 +173,6 @@ func Save(w io.Writer, d *Dataset, f Format) error {
 	return fmt.Errorf("store: save: unknown format %v", f)
 }
 
-// Save writes the dataset as gzip-compressed JSON.
-//
-// Deprecated: call Save(w, d, FormatJSON); this method remains as a thin
-// wrapper for older call sites.
-func (d *Dataset) Save(w io.Writer) error { return d.saveJSON(w) }
-
 // saveJSON writes the dataset as gzip-compressed JSON, including the
 // telemetry snapshot and shard manifest when attached.
 func (d *Dataset) saveJSON(w io.Writer) error {

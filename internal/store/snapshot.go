@@ -286,12 +286,6 @@ func (t *headerTable) ref(block []byte) uint64 {
 	return id
 }
 
-// SaveSnapshot writes the dataset in the binary snapshot format.
-//
-// Deprecated: call Save(w, d, FormatSnapshot); this method remains as a
-// thin wrapper for older call sites.
-func (d *Dataset) SaveSnapshot(w io.Writer) error { return d.saveSnapshot(w) }
-
 // saveSnapshot writes the dataset in the binary snapshot format. The output
 // is deterministic: saving the same dataset twice yields identical bytes.
 func (d *Dataset) saveSnapshot(w io.Writer) error {

@@ -17,10 +17,10 @@ import (
 func loadBoth(t *testing.T, ds *Dataset) (fromJSON, fromSnap *Dataset) {
 	t.Helper()
 	var jb, sb bytes.Buffer
-	if err := ds.Save(&jb); err != nil {
+	if err := Save(&jb, ds, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveSnapshot(&sb); err != nil {
+	if err := Save(&sb, ds, FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	var err error
@@ -122,7 +122,7 @@ func TestSnapshotFlowEdgeCases(t *testing.T) {
 // loudly, never panic or return a half-dataset.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := persistedDataset().SaveSnapshot(&buf); err != nil {
+	if err := Save(&buf, persistedDataset(), FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -161,7 +161,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 func TestSnapshotSkipsUnknownSection(t *testing.T) {
 	ds := persistedDataset()
 	var buf bytes.Buffer
-	if err := ds.SaveSnapshot(&buf); err != nil {
+	if err := Save(&buf, ds, FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	// Append an unknown trailing section: tag 200, 3-byte payload.

@@ -12,16 +12,18 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
-// This file is the crash-safe face of the campaign API: ExecuteResumable
-// and ExecuteShardResumable run the same measurements as ExecuteRuns and
-// ExecuteShard, but journal every completed (shard, run) cell to a
-// write-ahead checkpoint file as they go. A campaign killed at any point
-// — SIGKILL included — restarts with Resume set, replays the journaled
-// prefix instead of re-measuring it, and finishes with a Dataset whose
-// Digest is byte-identical to an uninterrupted run's. The journal is
-// self-describing: resuming with different study parameters, topology,
-// run specs, or channel order is rejected with an error naming the first
-// differing field (see store.Checkpoint.Validate).
+// This file is the crash-safe face of the campaign API: with
+// ExecOptions.Checkpoint set, Execute runs the same measurements as
+// without, but journals every completed (shard, run) cell to a
+// write-ahead checkpoint file as it goes — for the sharded engine, the
+// serial procedure, and fleet collectors alike, since all three run
+// core.RunShard. A campaign killed at any point — SIGKILL included —
+// restarts with Resume set, replays the journaled prefix instead of
+// re-measuring it, and finishes with a Dataset whose Digest is
+// byte-identical to an uninterrupted run's. The journal is
+// self-describing: resuming with different study parameters, engine,
+// topology, run specs, or channel order is rejected with an error naming
+// the first differing field (see store.Checkpoint.Validate).
 
 // CheckpointOptions configure the write-ahead checkpoint journal of a
 // resumable campaign.
@@ -42,112 +44,50 @@ type CheckpointOptions struct {
 	SyncEvery int
 }
 
-// ExecuteResumable is ExecuteRunsContext for the sharded engine
-// (Options.Parallelism >= 1) with a write-ahead checkpoint journal.
-// Every completed (shard, run) cell is committed to the journal before
-// the shard proceeds, so a killed campaign loses at most the cells that
-// were in flight. Restarting with co.Resume replays the journaled cells
-// and measures only the remainder; the finished dataset's Digest is
-// byte-identical to an uninterrupted run's at any Parallelism.
-//
-// The serial engine (Parallelism 0) is not resumable: its single
-// framework measures every channel of a run in one indivisible pass, so
-// there is no cell boundary to checkpoint at.
+// ExecuteResumable is Execute for the whole campaign with a write-ahead
+// checkpoint journal. Every completed (shard, run) cell is committed to
+// the journal before the shard proceeds, so a killed campaign loses at
+// most the cells that were in flight. Restarting with co.Resume replays
+// the journaled cells and measures only the remainder; the finished
+// dataset's Digest is byte-identical to an uninterrupted run's at any
+// Parallelism >= 1, and to an uninterrupted serial run's at
+// Parallelism 0. A journal only resumes on the engine that wrote it: the
+// serial procedure measures on the study's post-funnel framework, the
+// sharded engine on fresh shard worlds.
 func (s *Study) ExecuteResumable(ctx context.Context, co CheckpointOptions) (*store.Dataset, error) {
-	if s.opts.Parallelism < 1 {
-		return nil, errors.New("hbbtvlab: ExecuteResumable requires the sharded engine (Options.Parallelism >= 1); the serial procedure has no checkpointable cell boundary")
-	}
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
-	eff := core.EffectiveShards(s.opts.Shards, len(channels))
-	want, err := s.checkpointHeader(channels, eff, -1)
-	if err != nil {
-		return nil, err
-	}
-	cp, journal, err := openJournal(co, want)
-	if err != nil {
-		return nil, err
-	}
-	pool := &core.Pool{
-		Shards:     s.opts.Shards,
-		Workers:    s.opts.Parallelism,
-		Factory:    s.shardFramework,
-		Telemetry:  s.opts.Telemetry.Controller(s.Framework.Clock.Now),
-		Checkpoint: s.checkpointer(cp, journal),
-	}
-	ds, err := pool.ExecuteRuns(ctx, s.opts.Runs, channels)
-	s.attachTelemetry(ds)
-	// The close syncs every committed cell; its error matters even when
-	// the campaign itself succeeded.
-	if cerr := journal.Close(); cerr != nil {
-		err = errors.Join(err, fmt.Errorf("close checkpoint journal: %w", cerr))
-	}
-	if err != nil {
-		return ds, fmt.Errorf("hbbtvlab: sharded runs: %w", err)
-	}
-	return ds, nil
-}
-
-// ExecuteShardResumable is ExecuteShardContext with a write-ahead
-// checkpoint journal, for fleet collectors that may be killed mid-shard.
-// The journal records the fleet topology (shard i of N), so it can only
-// resume the same shard of the same study; the resumed shard dataset —
-// manifest included — is byte-identical to an uninterrupted collector's,
-// and merges (Merge, hbbtv-merge) exactly like one.
-func (s *Study) ExecuteShardResumable(ctx context.Context, shard, of int, co CheckpointOptions) (*store.Dataset, error) {
-	if of < 1 {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard count %d must be >= 1", of)
-	}
-	if shard < 0 || shard >= of {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard index %d out of range [0, %d)", shard, of)
-	}
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
-	want, err := s.checkpointHeader(channels, of, shard)
-	if err != nil {
-		return nil, err
-	}
-	cp, journal, err := openJournal(co, want)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := s.executeShard(ctx, shard, of, s.checkpointer(cp, journal))
-	if cerr := journal.Close(); cerr != nil {
-		err = errors.Join(err, fmt.Errorf("hbbtvlab: shard %d: close checkpoint journal: %w", shard, cerr))
-	}
-	return ds, err
+	return s.Execute(ctx, ExecOptions{Checkpoint: &co})
 }
 
 // checkpointHeader builds the self-describing journal header for this
-// study: the parameter fingerprint, the engine topology (shards, and the
-// fleet shard index or -1 for an in-process campaign), the run names in
-// order, and the canonical channel order. Resume validates a loaded
-// journal against exactly this value.
-func (s *Study) checkpointHeader(channels []*dvb.Service, shards, fleetShard int) (*store.Checkpoint, error) {
+// study: the parameter fingerprint, the engine and its topology (shard
+// count, and the fleet shard index or -1 for an in-process campaign),
+// the run names in order, and the canonical channel order. Resume
+// validates a loaded journal against exactly this value.
+func (s *Study) checkpointHeader(channels []*dvb.Service, fleet *FleetShard) (*store.Checkpoint, error) {
 	params, err := s.studyParams()
 	if err != nil {
 		return nil, err
 	}
-	order := make([]string, len(channels))
-	for i, svc := range channels {
-		order[i] = svc.Name
-	}
+	order := channelOrder(channels)
 	runs := make([]store.RunName, len(s.opts.Runs))
 	for i, spec := range s.opts.Runs {
 		runs[i] = spec.Name
 	}
-	return &store.Checkpoint{
+	cp := &store.Checkpoint{
 		Params:       params,
-		Shards:       shards,
-		FleetShard:   fleetShard,
+		Shards:       core.EffectiveShards(s.opts.Shards, len(channels)),
+		FleetShard:   -1,
 		Runs:         runs,
 		ChannelOrder: order,
 		OrderDigest:  store.ChannelOrderDigest(order),
-	}, nil
+	}
+	switch {
+	case fleet != nil:
+		cp.Shards, cp.FleetShard = fleet.Of, fleet.Index
+	case s.opts.Parallelism < 1:
+		cp.Shards, cp.Engine = 1, store.EngineSerial
+	}
+	return cp, nil
 }
 
 // openJournal opens the campaign's checkpoint journal: a cold start

@@ -246,6 +246,8 @@ func TestChaosResumeMismatchRejectedCLI(t *testing.T) {
 		{"fault config", append(chaosArgs("0.02"), "-fault-rate", "0.5", "-j", "2", "-shards", "4"), "fault config"},
 		{"retry policy", append(chaosArgs("0.02"), "-retries", "5", "-j", "2", "-shards", "4"), "retry policy"},
 		{"shard count", append(chaosArgs("0.02"), "-j", "2", "-shards", "2"), "shard count"},
+		// -j 0 checkpoints too, but on the serial engine's own journal.
+		{"engine", append(chaosArgs("0.02"), "-j", "0"), "engine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

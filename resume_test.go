@@ -2,6 +2,7 @@ package hbbtvlab
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,48 +94,58 @@ func TestResumeCheckpointedRunMatchesPlain(t *testing.T) {
 // (the exact file a SIGKILL'd process leaves, torn tail included), the
 // campaign is resumed from the cut — twice, emulating a second kill
 // during the resume — and the final digest must be byte-identical to
-// the uninterrupted run for every worker count, faults on.
+// the uninterrupted run for every worker count, faults on. Worker count
+// 0 is the serial engine: a one-shard pool on the study's own
+// post-funnel framework, with its own dataset and its own journal.
 func TestResumeDigestParityAfterKill(t *testing.T) {
-	base := digestOrFatal(t, runChaosStudy(t, chaosOptions(1)))
 	dir := t.TempDir()
+	for _, eng := range []struct {
+		name    string
+		writer  int
+		workers []int
+	}{
+		{"sharded", 2, []int{1, 2, 4, 8}},
+		{"serial", 0, []int{0}},
+	} {
+		base := digestOrFatal(t, runChaosStudy(t, chaosOptions(eng.workers[0])))
+		full := filepath.Join(dir, eng.name+".journal")
+		if got := executeResumable(t, chaosOptions(eng.writer), CheckpointOptions{Path: full}); got != base {
+			t.Fatalf("%s: uninterrupted checkpointed digest %s != plain digest %s", eng.name, got, base)
+		}
+		fi, err := os.Stat(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := fi.Size()
 
-	full := filepath.Join(dir, "full.journal")
-	if got := executeResumable(t, chaosOptions(2), CheckpointOptions{Path: full}); got != base {
-		t.Fatalf("uninterrupted checkpointed digest %s != plain digest %s", got, base)
-	}
-	fi, err := os.Stat(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := fi.Size()
+		// Seed-derived kill points, reported so a failure names its inputs
+		// (same contract as the process-level chaos suite).
+		const killSeed = int64(321)
+		points := killPoints(killSeed, size, 3)
+		t.Logf("%s: kill seed %d, journal %d bytes, kill points %v", eng.name, killSeed, size, points)
 
-	// Seed-derived kill points, reported so a failure names its inputs
-	// (same contract as the process-level chaos suite).
-	const killSeed = int64(321)
-	points := killPoints(killSeed, size, 3)
-	t.Logf("kill seed %d, journal %d bytes, kill points %v", killSeed, size, points)
+		for _, p := range eng.workers {
+			for ki, cut := range points {
+				path := filepath.Join(dir, "killed.journal")
+				truncateCopy(t, full, path, cut)
 
-	for _, p := range []int{1, 2, 4, 8} {
-		for ki, cut := range points {
-			path := filepath.Join(dir, "killed.journal")
-			truncateCopy(t, full, path, cut)
+				// First resume — but cut ITS journal too (second kill) before
+				// letting a final resume finish the campaign.
+				study := resumeStudy(t, chaosOptions(p))
+				ds, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: path, Resume: true})
+				if err != nil && !DegradedOnly(err) {
+					t.Fatalf("j=%d kill %d at byte %d: first resume: %v", p, ki, cut, err)
+				}
+				if got := digestOrFatal(t, ds); got != base {
+					t.Fatalf("j=%d kill %d at byte %d: resumed digest differs:\n  %s\n  %s", p, ki, cut, got, base)
+				}
 
-			// First resume — but cut ITS journal too (second kill) before
-			// letting a final resume finish the campaign.
-			study := resumeStudy(t, chaosOptions(p))
-			ds, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: path, Resume: true})
-			if err != nil && !DegradedOnly(err) {
-				t.Fatalf("j=%d kill %d at byte %d: first resume: %v", p, ki, cut, err)
-			}
-			if got := digestOrFatal(t, ds); got != base {
-				t.Fatalf("j=%d kill %d at byte %d: resumed digest differs:\n  %s\n  %s", p, ki, cut, got, base)
-			}
-
-			second := cut + (size-cut)/2
-			truncateCopy(t, path, path, second)
-			got := executeResumable(t, chaosOptions(p), CheckpointOptions{Path: path, Resume: true})
-			if got != base {
-				t.Fatalf("j=%d kill %d: digest differs after second kill at byte %d:\n  %s\n  %s", p, ki, second, got, base)
+				second := cut + (size-cut)/2
+				truncateCopy(t, path, path, second)
+				got := executeResumable(t, chaosOptions(p), CheckpointOptions{Path: path, Resume: true})
+				if got != base {
+					t.Fatalf("j=%d kill %d: digest differs after second kill at byte %d:\n  %s\n  %s", p, ki, second, got, base)
+				}
 			}
 		}
 	}
@@ -173,6 +184,32 @@ func TestResumeRejectsMismatchedStudy(t *testing.T) {
 		})
 	}
 
+	// The serial engine (j=0) and a one-shard sharded engine (j=1,
+	// shards=1) share a topology but not a framework — post-funnel study
+	// framework vs fresh shard world — so neither resumes the other's
+	// journal, and the error names the engine.
+	oneShard := func(p int) Options {
+		o := chaosOptions(p)
+		o.Shards = 1
+		return o
+	}
+	for _, tc := range []struct {
+		name          string
+		write, resume Options
+	}{
+		{"serial journal at j=1 shards=1", oneShard(0), oneShard(1)},
+		{"j=1 shards=1 journal at serial", oneShard(1), oneShard(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "engine.journal")
+			executeResumable(t, tc.write, CheckpointOptions{Path: path})
+			_, err := resumeStudy(t, tc.resume).ExecuteResumable(context.Background(), CheckpointOptions{Path: path, Resume: true})
+			if err == nil || !strings.Contains(err.Error(), "engine") {
+				t.Fatalf("cross-engine resume: err = %v, want an engine mismatch", err)
+			}
+		})
+	}
+
 	// Mismatched worker counts are NOT a divergence — parallelism never
 	// changes the dataset, so a journal written at -j 2 resumes at -j 8.
 	got := executeResumable(t, chaosOptions(8), CheckpointOptions{Path: full, Resume: true})
@@ -188,106 +225,100 @@ func TestResumeRejectsMismatchedStudy(t *testing.T) {
 	}
 }
 
-// TestResumeSerialEngineRejected: the serial procedure has no cell
-// boundary and must say so instead of producing an unresumable journal.
-func TestResumeSerialEngineRejected(t *testing.T) {
-	opts := chaosOptions(0)
-	study := resumeStudy(t, opts)
-	_, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: filepath.Join(t.TempDir(), "x.journal")})
-	if err == nil || !strings.Contains(err.Error(), "Parallelism") {
-		t.Fatalf("serial ExecuteResumable: %v", err)
-	}
-}
-
 // TestResumeQuarantineRoundTrip: a channel quarantined before the kill
 // must stay quarantined after the resume — the retry policy's cross-run
 // bookkeeping rides in the cell state, so the benched channel gets no
 // bonus retries in the runs measured after the resume.
 func TestResumeQuarantineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.journal")
-	base := executeResumable(t, chaosOptions(2), CheckpointOptions{Path: full})
+	// j=0 is the serial engine's journal: one shard, the study framework.
+	for _, p := range []int{2, 0} {
+		t.Run(fmt.Sprintf("j=%d", p), func(t *testing.T) {
+			dir := t.TempDir()
+			full := filepath.Join(dir, "full.journal")
+			base := executeResumable(t, chaosOptions(p), CheckpointOptions{Path: full})
 
-	cp, _, err := store.LoadJournal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a cell that carries quarantine state with runs still ahead of
-	// it — the interesting kill point.
-	cut := -1
-	for i, cell := range cp.Cells {
-		if len(cell.State.Quarantined) > 0 && cell.RunIndex < len(cp.Runs)-1 {
-			cut = i
-		}
-	}
-	if cut < 0 {
-		t.Skip("no mid-campaign quarantine under this fault plan; raise the rate to exercise this path")
-	}
-	target := cp.Cells[cut]
-	t.Logf("cutting after cell %d (shard %d, run %s), quarantined: %v",
-		cut, target.Shard, target.Run, target.State.Quarantined)
-
-	// Rebuild a journal holding exactly the cells up to and including the
-	// quarantine-carrying one (frame order preserves per-shard run order,
-	// so the prefix is per-shard contiguous).
-	hdr := *cp
-	hdr.Cells = nil
-	cutPath := filepath.Join(dir, "cut.journal")
-	j, err := store.CreateJournal(cutPath, &hdr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range cp.Cells[:cut+1] {
-		if err := j.Append(cell); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	study := resumeStudy(t, chaosOptions(2))
-	ds, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: cutPath, Resume: true})
-	if err != nil && !DegradedOnly(err) {
-		t.Fatal(err)
-	}
-	if got := digestOrFatal(t, ds); got != base {
-		t.Fatalf("resume across a quarantine boundary changed the digest:\n  %s\n  %s", got, base)
-	}
-
-	// Beyond digest parity, assert the mechanism directly: in every run
-	// after the cut, the benched channels never report attempts — they
-	// are skipped as quarantined, not re-retried.
-	laterRuns := 0
-	for _, run := range ds.Runs {
-		ri := -1
-		for i, name := range cp.Runs {
-			if name == run.Name {
-				ri = i
+			cp, _, err := store.LoadJournal(full)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if ri <= target.RunIndex {
-			continue
-		}
-		laterRuns++
-		for _, name := range target.State.Quarantined {
-			for _, o := range run.Outcomes {
-				if o.Channel != name {
+			// Find a cell that carries quarantine state with runs still ahead of
+			// it — the interesting kill point.
+			cut := -1
+			for i, cell := range cp.Cells {
+				if len(cell.State.Quarantined) > 0 && cell.RunIndex < len(cp.Runs)-1 {
+					cut = i
+				}
+			}
+			if cut < 0 {
+				t.Skip("no mid-campaign quarantine under this fault plan; raise the rate to exercise this path")
+			}
+			target := cp.Cells[cut]
+			t.Logf("cutting after cell %d (shard %d, run %s), quarantined: %v",
+				cut, target.Shard, target.Run, target.State.Quarantined)
+
+			// Rebuild a journal holding exactly the cells up to and including the
+			// quarantine-carrying one (frame order preserves per-shard run order,
+			// so the prefix is per-shard contiguous).
+			hdr := *cp
+			hdr.Cells = nil
+			cutPath := filepath.Join(dir, "cut.journal")
+			j, err := store.CreateJournal(cutPath, &hdr, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cell := range cp.Cells[:cut+1] {
+				if err := j.Append(cell); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			study := resumeStudy(t, chaosOptions(p))
+			ds, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: cutPath, Resume: true})
+			if err != nil && !DegradedOnly(err) {
+				t.Fatal(err)
+			}
+			if got := digestOrFatal(t, ds); got != base {
+				t.Fatalf("resume across a quarantine boundary changed the digest:\n  %s\n  %s", got, base)
+			}
+
+			// Beyond digest parity, assert the mechanism directly: in every run
+			// after the cut, the benched channels never report attempts — they
+			// are skipped as quarantined, not re-retried.
+			laterRuns := 0
+			for _, run := range ds.Runs {
+				ri := -1
+				for i, name := range cp.Runs {
+					if name == run.Name {
+						ri = i
+					}
+				}
+				if ri <= target.RunIndex {
 					continue
 				}
-				if o.Status != store.OutcomeQuarantined {
-					t.Errorf("run %s: channel %s was quarantined at the kill but has status %s after resume",
-						run.Name, name, o.Status)
-				}
-				if o.Attempts != 0 {
-					t.Errorf("run %s: quarantined channel %s got %d bonus attempts after resume",
-						run.Name, name, o.Attempts)
+				laterRuns++
+				for _, name := range target.State.Quarantined {
+					for _, o := range run.Outcomes {
+						if o.Channel != name {
+							continue
+						}
+						if o.Status != store.OutcomeQuarantined {
+							t.Errorf("run %s: channel %s was quarantined at the kill but has status %s after resume",
+								run.Name, name, o.Status)
+						}
+						if o.Attempts != 0 {
+							t.Errorf("run %s: quarantined channel %s got %d bonus attempts after resume",
+								run.Name, name, o.Attempts)
+						}
+					}
 				}
 			}
-		}
-	}
-	if laterRuns == 0 {
-		t.Fatal("no runs after the quarantine cut — the assertion never ran")
+			if laterRuns == 0 {
+				t.Fatal("no runs after the quarantine cut — the assertion never ran")
+			}
+		})
 	}
 }
 
