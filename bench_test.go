@@ -626,8 +626,10 @@ func BenchmarkAttribution(b *testing.B) {
 
 // BenchmarkMeasureThroughput measures the measurement engine end-to-end —
 // synthesis, tuning, watching, recording — at paper scale, reporting
-// flows/s. This is the hot path the interned flow records, arena
-// allocation, and zero-clone header hand-over optimise; the bench-
+// flows/s, plus the engine's allocated bytes and allocations per flow
+// (B/flow, allocs/flow). This is the hot path the interned flow records,
+// arena allocation, zero-clone header hand-over and the TV's own HTTP
+// exchange optimise; the bench-
 // regression gate (internal/benchgate) holds the floor, clamped by the
 // gomaxprocs metric so a small CI box is judged against a
 // proportionally smaller target. Every sub-benchmark hard-asserts that
@@ -643,6 +645,7 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 				flows  int
 			)
 			var elapsed time.Duration
+			var mallocs, allocBytes uint64
 			for i := 0; i < b.N; i++ {
 				// Telemetry (spans included) stays on: the throughput floor
 				// is the instrumented engine's, and the digest assert below
@@ -650,12 +653,17 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 				opts := Options{Seed: 1, Scale: 1.0, Parallelism: j}
 				opts.Telemetry = NewTelemetry(opts)
 				study := NewStudy(opts)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				start := time.Now()
 				ds, err := study.ExecuteRuns()
 				if err != nil {
 					b.Fatal(err)
 				}
 				elapsed += time.Since(start)
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+				allocBytes += after.TotalAlloc - before.TotalAlloc
 				flows = len(ds.AllFlows())
 				if ds.Trace == nil || len(ds.Trace.Spans) == 0 {
 					b.Fatal("instrumented run produced no span trace")
@@ -667,6 +675,9 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 			elapsed /= time.Duration(b.N)
 			b.ReportMetric(float64(flows)/elapsed.Seconds(), "flows/s")
 			b.ReportMetric(float64(flows), "flows")
+			perFlow := float64(flows) * float64(b.N)
+			b.ReportMetric(float64(allocBytes)/perFlow, "B/flow")
+			b.ReportMetric(float64(mallocs)/perFlow, "allocs/flow")
 			if baseline == "" {
 				baseline = digest
 			} else if digest != baseline {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -164,7 +165,7 @@ func (t *TrackerService) servePixel(w http.ResponseWriter, r *http.Request) {
 	t.maybeSetCookie(w, r)
 	if t.cfg.PixelRedirectTo != "" && r.URL.Path != "/match" {
 		target := url.URL{Scheme: schemeOf(r), Host: t.cfg.PixelRedirectTo, Path: "/i"}
-		if site := siteParam(r); site != "" {
+		if site := siteParam(r.URL.RawQuery); site != "" {
 			target.RawQuery = url.Values{"c": {site}}.Encode()
 		}
 		http.Redirect(w, r, target.String(), http.StatusFound)
@@ -231,47 +232,130 @@ func (t *TrackerService) maybeSetCookie(w http.ResponseWriter, r *http.Request) 
 	if t.cfg.CookieName == "" {
 		return
 	}
-	names := []string{t.cfg.CookieName}
-	if site := siteParam(r); site != "" {
-		names = append(names, t.cfg.CookieName+"_"+site)
+	if _, ok := requestCookie(r.Header, t.cfg.CookieName); !ok {
+		t.setCookie(w, t.cfg.CookieName, t.newValue())
 	}
-	for _, name := range names {
-		if _, err := r.Cookie(name); err == nil {
-			continue
+	if site := siteParam(r.URL.RawQuery); site != "" {
+		name := t.cfg.CookieName + "_" + site
+		if _, ok := requestCookie(r.Header, name); !ok {
+			t.setCookie(w, name, t.newValue())
 		}
-		http.SetCookie(w, &http.Cookie{
-			Name:   name,
-			Value:  t.newValue(),
-			Path:   "/",
-			MaxAge: 365 * 24 * 3600,
-		})
 	}
 }
 
-func siteParam(r *http.Request) string {
-	q := r.URL.Query()
-	if c := q.Get("c"); c != "" {
+// setCookie sets a year-long, site-wide tracker cookie.
+func (t *TrackerService) setCookie(w http.ResponseWriter, name, value string) {
+	http.SetCookie(w, &http.Cookie{
+		Name:   name,
+		Value:  value,
+		Path:   "/",
+		MaxAge: 365 * 24 * 3600,
+	})
+}
+
+// siteParam returns the query's first non-empty "c" value, else its first
+// "site" value — what url.ParseQuery followed by Values.Get gives, read
+// straight off the raw query without building the map.
+func siteParam(rawQuery string) string {
+	if c := firstQueryValue(rawQuery, "c"); c != "" {
 		return c
 	}
-	return q.Get("site")
+	return firstQueryValue(rawQuery, "site")
+}
+
+// firstQueryValue returns the first value of key in rawQuery with
+// url.ParseQuery's rules: pairs containing ';' and pairs whose key or value
+// fails to unescape are skipped.
+func firstQueryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k != key {
+			if !strings.ContainsAny(k, "%+") {
+				continue
+			}
+			if uk, err := url.QueryUnescape(k); err != nil || uk != key {
+				continue
+			}
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// requestCookie returns the value of the first cookie called name in the
+// request's Cookie headers, with http.Request.Cookie's acceptance rules (a
+// token name, an optionally double-quoted value of valid cookie bytes) but
+// without allocating an http.Cookie per lookup.
+func requestCookie(h http.Header, name string) (string, bool) {
+	if !isToken(name) {
+		return "", false
+	}
+	for _, line := range h["Cookie"] {
+		line = textproto.TrimString(line)
+		for line != "" {
+			var part string
+			part, line, _ = strings.Cut(line, ";")
+			part = textproto.TrimString(part)
+			k, v, _ := strings.Cut(part, "=")
+			if textproto.TrimString(k) != name {
+				continue
+			}
+			if len(v) > 1 && v[0] == '"' && v[len(v)-1] == '"' {
+				v = v[1 : len(v)-1]
+			}
+			if validCookieValue(v) {
+				return v, true
+			}
+		}
+	}
+	return "", false
+}
+
+// isToken reports whether s is a non-empty RFC 7230 token, the rule
+// net/http applies to cookie names.
+func isToken(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x80 || !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// validCookieValue reports whether every byte of v is a valid cookie-value
+// byte.
+func validCookieValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if b := v[i]; b < 0x20 || b >= 0x7f || b == '"' || b == ';' || b == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // cookieValueFor returns the client's existing cookie value or mints and
 // sets a new one.
 func (t *TrackerService) cookieValueFor(w http.ResponseWriter, r *http.Request) string {
 	if t.cfg.CookieName != "" {
-		if c, err := r.Cookie(t.cfg.CookieName); err == nil {
-			return c.Value
+		if v, ok := requestCookie(r.Header, t.cfg.CookieName); ok {
+			return v
 		}
 	}
 	v := t.newValue()
 	if t.cfg.CookieName != "" {
-		http.SetCookie(w, &http.Cookie{
-			Name:   t.cfg.CookieName,
-			Value:  v,
-			Path:   "/",
-			MaxAge: 365 * 24 * 3600,
-		})
+		t.setCookie(w, t.cfg.CookieName, v)
 	}
 	return v
 }

@@ -72,8 +72,13 @@ func (in *Internet) HandleFunc(host string, f func(http.ResponseWriter, *http.Re
 // "a.b.example.de" matches "*.example.de".
 func (in *Internet) Lookup(host string) (http.Handler, bool) {
 	host = strings.ToLower(strings.TrimSuffix(host, "."))
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
+	// SplitHostPort fails (allocating its error) on every host without a
+	// port, which is every in-process request; only hosts with a colon
+	// can carry one.
+	if strings.IndexByte(host, ':') >= 0 {
+		if h, _, err := net.SplitHostPort(host); err == nil {
+			host = h
+		}
 	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
@@ -178,15 +183,19 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	rec := newRecorder()
 	// Handlers expect a server-side request: Body non-nil, RequestURI unset.
-	// A shallow copy suffices: the registered handlers read the request but
-	// never mutate its header or URL, so the deep Clone the transport used
-	// to make per dispatch only fed the garbage collector.
-	sreq := *req
-	if sreq.Body == nil {
-		sreq.Body = http.NoBody
+	// The registered handlers read the request but never mutate its header
+	// or URL, so a request already in that shape (the TV's) is dispatched
+	// as is, and any other gets a shallow copy.
+	sreq := req
+	if req.Body == nil || req.RequestURI != "" {
+		cp := *req
+		if cp.Body == nil {
+			cp.Body = http.NoBody
+		}
+		cp.RequestURI = ""
+		sreq = &cp
 	}
-	sreq.RequestURI = ""
-	h.ServeHTTP(rec, &sreq)
+	h.ServeHTTP(rec, sreq)
 	if t.Clock != nil && t.Latency != nil {
 		_, d := t.Latency(req)
 		if d > 0 {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -117,5 +118,31 @@ func TestJSONTruncatedFailsWrapped(t *testing.T) {
 		if !strings.Contains(err.Error(), "store:") {
 			t.Fatalf("gzip-JSON truncation at %d: error %q lacks store context", cut, err)
 		}
+	}
+}
+
+// TestSnapshotHugeHeaderCountBounded is the regression input a fuzz run
+// found: a 30-byte snapshot whose header-table entry claims billions of
+// header fields. The decoder sized the header map from that count and
+// allocated gigabytes before failing; counts are now bounded by the bytes
+// left, so it must fail fast with a wrapped error and a small footprint.
+func TestSnapshotHugeHeaderCountBounded(t *testing.T) {
+	raw := []byte("HBTV\x01\x05\x13\x01\x10\xa4\xab\xe6&00000000\xf7\x8000000\x120")
+	if len(raw) != 30 {
+		t.Fatalf("input is %d bytes, want 30", len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("corrupt snapshot loaded without error")
+	}
+	t.Logf("error: %v", err)
+	if !strings.Contains(err.Error(), "store:") {
+		t.Errorf("error %q is not wrapped with store context", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("decoding 30 bytes allocated %d bytes, want under 4 MiB", grew)
 	}
 }

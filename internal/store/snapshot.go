@@ -1092,9 +1092,11 @@ func headerRef(sr *snapReader, list []http.Header) http.Header {
 }
 
 // buildHeader rebuilds a header from its flattened snapshot form, splitting
-// multi-valued entries exactly like the JSON loader.
+// multi-valued entries exactly like the JSON loader. Both counts are
+// bounded by the bytes left, so a corrupt count fails instead of sizing a
+// huge map or slice.
 func (d *snapDecoder) buildHeader(sr *snapReader, withSetCookie bool) http.Header {
-	n := sr.uvarint()
+	n := sr.count()
 	h := make(http.Header, n)
 	for i := uint64(0); i < n && sr.err == nil; i++ {
 		k := sr.str(d.strs)
@@ -1106,9 +1108,9 @@ func (d *snapDecoder) buildHeader(sr *snapReader, withSetCookie bool) http.Heade
 		h[k] = strings.Split(joined, "\n")
 	}
 	if withSetCookie {
-		if nsc := sr.uvarint(); nsc > 0 && sr.err == nil {
+		if nsc := sr.count(); nsc > 0 && sr.err == nil {
 			scs := make([]string, 0, nsc)
-			for i := uint64(0); i < nsc; i++ {
+			for i := uint64(0); i < nsc && sr.err == nil; i++ {
 				scs = append(scs, sr.str(d.strs))
 			}
 			h["Set-Cookie"] = scs

@@ -36,6 +36,10 @@ func (w *World) channelRand(slug string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h) ^ w.Cfg.Seed))
 }
 
+// blankAsset is the body of every binary CDN asset: 4 KiB of zeros,
+// shared read-only by all responses instead of allocated per request.
+var blankAsset = make([]byte, 4096)
+
 func (w *World) ensureGroupServices(g *OperatorGroup) {
 	if w.groupHosts == nil {
 		w.groupHosts = make(map[string]bool)
@@ -58,7 +62,7 @@ func (w *World) ensureGroupServices(g *OperatorGroup) {
 			fmt.Fprintf(wr, "/* %s loader */ function boot(){}", g.FirstParty)
 		default:
 			wr.Header().Set("Content-Type", "image/png")
-			_, _ = wr.Write(make([]byte, 4096))
+			_, _ = wr.Write(blankAsset)
 		}
 	})
 	// cdn-secure.<fp>: the HTTPS asset host used by color-button pages.

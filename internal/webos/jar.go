@@ -3,6 +3,7 @@ package webos
 import (
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,17 +138,85 @@ func (j *Jar) SetCookies(u *url.URL, cookies []*http.Cookie) {
 
 // Cookies implements http.CookieJar.
 func (j *Jar) Cookies(u *url.URL) []*http.Cookie {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	matched := j.matchLocked(u)
+	if len(matched) == 0 {
+		return nil
+	}
+	out := make([]*http.Cookie, len(matched))
+	cs := make([]http.Cookie, len(matched))
+	for i, sc := range matched {
+		cs[i] = http.Cookie{Name: sc.Name, Value: sc.Value}
+		out[i] = &cs[i]
+	}
+	return out
+}
+
+// CookieHeader returns the Cookie request header for u, or "" when no
+// cookie matches. It is byte-identical to adding each of Cookies(u) to a
+// request with http.Request.AddCookie, built as one string.
+func (j *Jar) CookieHeader(u *url.URL) string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	matched := j.matchLocked(u)
+	if len(matched) == 0 {
+		return ""
+	}
+	n := 2 * (len(matched) - 1)
+	for _, sc := range matched {
+		n += len(sc.Name) + 1 + len(sc.Value)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, sc := range matched {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		if !plainCookie(sc.Name, sc.Value) {
+			// Quoting and dropping invalid bytes (with net/http's warning)
+			// are AddCookie's; let it encode the rare cookie that needs them.
+			r := http.Request{Header: make(http.Header, 1)}
+			r.AddCookie(&http.Cookie{Name: sc.Name, Value: sc.Value})
+			b.WriteString(r.Header["Cookie"][0])
+			continue
+		}
+		b.WriteString(sc.Name)
+		b.WriteByte('=')
+		b.WriteString(sc.Value)
+	}
+	return b.String()
+}
+
+// plainCookie reports whether AddCookie writes name=value unchanged: no
+// CR or LF in the name, and only valid cookie-value bytes other than the
+// space and comma that make it quote the value.
+func plainCookie(name, value string) bool {
+	if strings.ContainsAny(name, "\r\n") {
+		return false
+	}
+	for i := 0; i < len(value); i++ {
+		b := value[i]
+		if b <= ' ' || b >= 0x7f || b == '"' || b == ';' || b == '\\' || b == ',' {
+			return false
+		}
+	}
+	return true
+}
+
+// matchLocked returns the unexpired cookies that u may receive, in
+// header order. The result aliases j.scratch and is valid until the next
+// call; callers hold j.mu.
+func (j *Jar) matchLocked(u *url.URL) []*StoredCookie {
+	if len(j.byDom) == 0 {
+		return nil
+	}
 	host := strings.ToLower(u.Hostname())
 	path := u.Path
 	if path == "" {
 		path = "/"
 	}
 	now := j.clk.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.byDom) == 0 {
-		return nil
-	}
 	// Walk the host's domain-suffix chain: the host's own bucket may hold
 	// host-only and domain cookies; parent buckets hold domain cookies only.
 	matched := j.scratch[:0]
@@ -174,37 +243,29 @@ func (j *Jar) Cookies(u *url.URL) []*http.Cookie {
 		exact = false
 	}
 	j.scratch = matched[:0]
-	if len(matched) == 0 {
-		return nil
-	}
 	// RFC 6265 §5.4: longer paths first, then earlier creation times. On
 	// the virtual clock many cookies share one creation instant, so break
 	// remaining ties by (domain, path, name) — without this the header
 	// order inherits the map's random iteration order, which breaks the
 	// byte-level reproducibility the parallel engine's digests verify.
-	sort.Slice(matched, func(a, b int) bool {
-		ca, cb := matched[a], matched[b]
+	// (domain, path, name) is unique in the jar, so the order is total and
+	// any sort yields it.
+	slices.SortFunc(matched, func(ca, cb *StoredCookie) int {
 		if len(ca.Path) != len(cb.Path) {
-			return len(ca.Path) > len(cb.Path)
+			return len(cb.Path) - len(ca.Path)
 		}
-		if !ca.Created.Equal(cb.Created) {
-			return ca.Created.Before(cb.Created)
+		if c := ca.Created.Compare(cb.Created); c != 0 {
+			return c
 		}
-		if ca.Domain != cb.Domain {
-			return ca.Domain < cb.Domain
+		if c := strings.Compare(ca.Domain, cb.Domain); c != 0 {
+			return c
 		}
-		if ca.Path != cb.Path {
-			return ca.Path < cb.Path
+		if c := strings.Compare(ca.Path, cb.Path); c != 0 {
+			return c
 		}
-		return ca.Name < cb.Name
+		return strings.Compare(ca.Name, cb.Name)
 	})
-	out := make([]*http.Cookie, len(matched))
-	cs := make([]http.Cookie, len(matched))
-	for i, sc := range matched {
-		cs[i] = http.Cookie{Name: sc.Name, Value: sc.Value}
-		out[i] = &cs[i]
-	}
-	return out
+	return matched
 }
 
 // All returns a snapshot of every unexpired cookie, sorted by domain, path,

@@ -9,7 +9,9 @@
 package webos
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -113,9 +115,8 @@ type Screenshot struct {
 
 // TV is the simulated measurement device.
 type TV struct {
-	cfg    Config
-	clk    clock.Clock
-	client *http.Client
+	cfg Config
+	clk clock.Clock
 
 	jar     *Jar
 	storage *LocalStorage
@@ -136,7 +137,7 @@ type TV struct {
 	// Hot-path caches. The device identity is fixed at construction, the
 	// channel ID at tune time, and the formatted local time changes at most
 	// once per virtual second — none of them need rebuilding per request.
-	userAgent  string
+	userAgent  []string // the User-Agent header value, shared read-only by every request
 	currentID  string
 	ltCacheSec int64
 	ltCache    string
@@ -213,10 +214,9 @@ func New(cfg Config) *TV {
 		rng:     rand.New(src),
 	}
 	tv.userID = tv.newID("u")
-	tv.userAgent = fmt.Sprintf(
+	tv.userAgent = []string{fmt.Sprintf(
 		"Mozilla/5.0 (Web0S; Linux/SmartTV) AppleWebKit/537.36 HbbTV/1.5.1 (+DRM; %s; %s; %s;)",
-		cfg.Device.Manufacturer, cfg.Device.Model, cfg.Device.OS)
-	tv.client = &http.Client{Transport: cfg.Transport, Jar: tv.jar}
+		cfg.Device.Manufacturer, cfg.Device.Model, cfg.Device.OS)}
 	tv.metrics = tvMetrics{
 		tunes:       cfg.Telemetry.Counter("webos_tunes"),
 		keyPresses:  cfg.Telemetry.Counter("webos_key_presses"),
@@ -242,7 +242,7 @@ func (tv *TV) PowerOn() {
 		// lge.com traffic. Modeled so the exclusion has something to drop.
 		req, err := http.NewRequest(http.MethodGet, "http://snu.lge.com/checkupdate?model="+url.QueryEscape(tv.cfg.Device.Model), nil)
 		if err == nil {
-			if resp, err := tv.client.Do(req); err == nil {
+			if resp, err := tv.do(req); err == nil {
 				drain(resp)
 			}
 		}
@@ -708,7 +708,7 @@ func (tv *TV) get(rawURL, referer string) ([]byte, *http.Response, error) {
 		return nil, nil, err
 	}
 	tv.decorate(req, referer)
-	resp, err := tv.client.Do(req)
+	resp, err := tv.do(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -725,10 +725,11 @@ func (tv *TV) getURL(u *url.URL, referer string) error {
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     make(http.Header, 2),
+		Header:     make(http.Header, 3),
+		Body:       http.NoBody,
 	}
 	tv.decorate(req, referer)
-	resp, err := tv.client.Do(req)
+	resp, err := tv.do(req)
 	if err != nil {
 		return err
 	}
@@ -737,13 +738,13 @@ func (tv *TV) getURL(u *url.URL, referer string) error {
 }
 
 func (tv *TV) post(rawURL, referer, contentType string, body []byte) {
-	req, err := http.NewRequest(http.MethodPost, rawURL, strings.NewReader(string(body)))
+	req, err := http.NewRequest(http.MethodPost, rawURL, bytes.NewReader(body))
 	if err != nil {
 		return
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header["Content-Type"] = []string{contentType}
 	tv.decorate(req, referer)
-	resp, err := tv.client.Do(req)
+	resp, err := tv.do(req)
 	if err != nil {
 		tv.logf(LogError, "post %s: %v", rawURL, err)
 		return
@@ -751,11 +752,118 @@ func (tv *TV) post(rawURL, referer, contentType string, body []byte) {
 	drain(resp)
 }
 
+// decorate sets the browser headers. The keys are already canonical, so
+// the values go into the map directly instead of through Header.Set.
 func (tv *TV) decorate(req *http.Request, referer string) {
 	if referer != "" {
-		req.Header.Set("Referer", referer)
+		req.Header["Referer"] = []string{referer}
 	}
-	req.Header.Set("User-Agent", tv.userAgent)
+	req.Header["User-Agent"] = tv.userAgent
+}
+
+// maxRedirects is net/http.Client's default redirect budget.
+const maxRedirects = 10
+
+// do is the TV's HTTP exchange: it sends req through cfg.Transport and
+// follows redirects the way a net/http.Client with the TV's jar and no
+// CheckRedirect or Timeout does, which is all the TV's browser needs.
+//
+//   - Every hop carries the jar's cookies for its URL as one Cookie
+//     header, and every hop's Set-Cookie goes back into the jar.
+//   - 301, 302 and 303 continue as GET (HEAD stays HEAD) without a body;
+//     307 and 308 keep the method and re-send the body through GetBody.
+//     Once a hop drops the body, later hops never send it again.
+//   - A hop's header is a copy of the initial request's header plus the
+//     hop's own jar cookies, never the previous hop's Cookie header. The
+//     TV never sets a Cookie header itself, so the initial header minus
+//     its Cookie is the header before cookies were added.
+//   - Without an explicit Referer, a hop gets the previous URL as
+//     Referer, except on an https -> http hop.
+//   - A 3xx without Location ends the exchange with that response; the
+//     eleventh redirect ends it with "stopped after 10 redirects".
+//   - Errors are *url.Error with Op "Get"/"Post" like the client's, so
+//     logged error strings stay the same.
+func (tv *TV) do(req *http.Request) (*http.Response, error) {
+	if req.Body == nil {
+		req.Body = http.NoBody
+	}
+	first := req
+	includeBody := true
+	for sent := 1; ; sent++ {
+		if c := tv.jar.CookieHeader(req.URL); c != "" {
+			req.Header["Cookie"] = []string{c}
+		}
+		resp, err := tv.cfg.Transport.RoundTrip(req)
+		if err != nil {
+			return nil, exchangeError(first, req.URL.String(), err)
+		}
+		if rc := resp.Cookies(); len(rc) > 0 {
+			tv.jar.SetCookies(req.URL, rc)
+		}
+		method := req.Method
+		switch resp.StatusCode {
+		case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther:
+			includeBody = false
+			if method != http.MethodGet && method != http.MethodHead {
+				method = http.MethodGet
+			}
+		case http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		default:
+			return resp, nil
+		}
+		loc := resp.Header.Get("Location")
+		if loc == "" {
+			return resp, nil
+		}
+		u, err := req.URL.Parse(loc)
+		if err != nil {
+			resp.Body.Close()
+			return nil, exchangeError(first, req.URL.String(),
+				fmt.Errorf("failed to parse Location header %q: %v", loc, err))
+		}
+		next := &http.Request{
+			Method: method,
+			URL:    u,
+			Header: make(http.Header, len(first.Header)),
+			Body:   http.NoBody,
+		}
+		if includeBody && first.GetBody != nil {
+			if next.Body, err = first.GetBody(); err != nil {
+				resp.Body.Close()
+				return nil, exchangeError(first, req.URL.String(), err)
+			}
+			next.ContentLength = first.ContentLength
+		}
+		for k, vv := range first.Header {
+			if k != "Cookie" {
+				next.Header[k] = vv
+			}
+		}
+		if next.Header.Get("Referer") == "" && !(req.URL.Scheme == "https" && u.Scheme == "http") {
+			next.Header["Referer"] = []string{refererFor(req.URL)}
+		}
+		resp.Body.Close()
+		if sent >= maxRedirects {
+			return resp, exchangeError(first, loc, errors.New("stopped after 10 redirects"))
+		}
+		req = next
+	}
+}
+
+// exchangeError wraps err the way net/http.Client does.
+func exchangeError(first *http.Request, rawURL string, err error) error {
+	op := first.Method[:1] + strings.ToLower(first.Method[1:])
+	return &url.Error{Op: op, URL: rawURL, Err: err}
+}
+
+// refererFor is the Referer a redirect hop from u carries: u without its
+// user info.
+func refererFor(u *url.URL) string {
+	ref := u.String()
+	if u.User != nil {
+		ref = strings.Replace(ref, u.User.String()+"@", "", 1)
+	}
+	return ref
 }
 
 func drain(resp *http.Response) {
